@@ -175,12 +175,11 @@ class Matcher {
         queues_[static_cast<std::size_t>(q)].push_back(i);
       }
     }
-    if (!device_.gateset().supports(GateKind::kCx) &&
-        !device_.gateset().supports(GateKind::kRy) &&
-        device_.num_qubits() >= 2) {
-      // Probe template for the generic CZ-only swap detection: the lowered
-      // gate kinds/params are the same for any qubit pair.
-      Circuit probe(device_.num_qubits());
+    if (device_.num_qubits() >= 2) {
+      // The lowered swap template on qubits (0, 1). Lowering substitutes
+      // operands without inspecting their values, so the template of any
+      // pair (a, b) is this one with 0 -> a and 1 -> b.
+      Circuit probe(2);
       probe.swap(0, 1);
       swap_probe_ = lower(probe);
     }
@@ -290,19 +289,22 @@ class Matcher {
   std::optional<int> match_reference_at(const Gate& g,
                                         const std::vector<int>& heads) const {
     if (g.qubits.empty()) return std::nullopt;
-    std::vector<int> virt;
-    virt.reserve(g.qubits.size());
-    for (int p : g.qubits) {
-      int v = perm_.p2v[static_cast<std::size_t>(p)];
-      if (v >= num_virtual_) return std::nullopt;  // padding qubit
-      virt.push_back(v);
-    }
-    auto q0 = static_cast<std::size_t>(virt[0]);
+    const int v0 = perm_.p2v[static_cast<std::size_t>(g.qubits[0])];
+    if (v0 >= num_virtual_) return std::nullopt;  // padding qubit
+    auto q0 = static_cast<std::size_t>(v0);
     if (heads[q0] >= static_cast<int>(queues_[q0].size())) return std::nullopt;
     int ri = queues_[q0][static_cast<std::size_t>(heads[q0])];
     const Gate& ref = reference_.gates()[static_cast<std::size_t>(ri)];
-    if (ref.kind != g.kind || ref.qubits != virt || ref.params != g.params) {
+    if (ref.kind != g.kind || ref.qubits.size() != g.qubits.size() ||
+        ref.params != g.params) {
       return std::nullopt;
+    }
+    // Reference operands are virtual ids below num_virtual_, so a padding
+    // operand never matches.
+    for (std::size_t k = 0; k < g.qubits.size(); ++k) {
+      if (perm_.p2v[static_cast<std::size_t>(g.qubits[k])] != ref.qubits[k]) {
+        return std::nullopt;
+      }
     }
     if (!ready(ri, heads)) return std::nullopt;
     return ri;
@@ -348,6 +350,27 @@ class Matcher {
     return true;
   }
 
+  /// True when the window at `start` is the lowered swap template on the
+  /// physical pair (pa, pb).
+  bool swap_window_at(int start, int pa, int pb) const {
+    const auto& gates = mapped_.gates();
+    if (static_cast<std::size_t>(start) + swap_probe_.size() > gates.size()) {
+      return false;
+    }
+    for (std::size_t k = 0; k < swap_probe_.size(); ++k) {
+      const Gate& t = swap_probe_[k];
+      const Gate& g = gates[static_cast<std::size_t>(start) + k];
+      if (g.kind != t.kind || g.qubits.size() != t.qubits.size() ||
+          g.params != t.params) {
+        return false;
+      }
+      for (std::size_t j = 0; j < t.qubits.size(); ++j) {
+        if (g.qubits[j] != (t.qubits[j] == 0 ? pa : pb)) return false;
+      }
+    }
+    return true;
+  }
+
   /// Full swap-expansion window starting at mapped gate `start`, if any.
   /// The candidate physical pair is read off the window itself: on a
   /// CX-target the first gate is cx(a,b); on a CZ-target with native Ry the
@@ -356,6 +379,7 @@ class Matcher {
   /// so the pair is read off the window's first cz instead and both swap
   /// orientations are checked against the fully lowered template.
   std::optional<SwapWindow> swap_template_at(int start) const {
+    if (swap_probe_.empty()) return std::nullopt;  // no pair to swap
     const auto& gates = mapped_.gates();
     const Gate& g = gates[static_cast<std::size_t>(start)];
     int pa = -1, pb = -1;
@@ -378,8 +402,7 @@ class Matcher {
       // Generic CZ-only path. The lowered template's gate kinds/params are
       // position-independent, so the cached probe's first gate is a cheap
       // pre-filter before the window scan.
-      if (swap_probe_.empty() || g.kind != swap_probe_[0].kind ||
-          g.params != swap_probe_[0].params) {
+      if (g.kind != swap_probe_[0].kind || g.params != swap_probe_[0].params) {
         return std::nullopt;
       }
       const int horizon =
@@ -394,22 +417,13 @@ class Matcher {
         }
       }
       if (pa < 0) return std::nullopt;
-      for (int flip = 0; flip < 2; ++flip) {
-        Circuit c(device_.num_qubits());
-        c.swap(flip ? pb : pa, flip ? pa : pb);
-        std::vector<Gate> tmpl = lower(c);
-        if (window_equals(start, tmpl)) {
-          return SwapWindow{flip ? pb : pa, flip ? pa : pb,
-                            static_cast<int>(tmpl.size())};
-        }
+      if (swap_window_at(start, pa, pb)) {
+        return SwapWindow{pa, pb, static_cast<int>(swap_probe_.size())};
       }
-      return std::nullopt;
+      std::swap(pa, pb);
     }
-    Circuit c(device_.num_qubits());
-    c.swap(pa, pb);
-    std::vector<Gate> tmpl = lower(c);
-    if (!window_equals(start, tmpl)) return std::nullopt;
-    return SwapWindow{pa, pb, static_cast<int>(tmpl.size())};
+    if (!swap_window_at(start, pa, pb)) return std::nullopt;
+    return SwapWindow{pa, pb, static_cast<int>(swap_probe_.size())};
   }
 
   /// Ready reference kSwap whose remapped expansion produced this window
@@ -574,7 +588,7 @@ class Matcher {
   Perm perm_;
   std::vector<std::vector<int>> queues_;  ///< per-virtual-qubit ref indices
   std::vector<int> heads_;                ///< per-qubit cursor into queues_
-  std::vector<Gate> swap_probe_;  ///< lowered swap shape for CZ-only bases
+  std::vector<Gate> swap_probe_;  ///< lowered swap(0, 1) template
 };
 
 /// QFS108: the timed program must carry exactly the mapped circuit's gates

@@ -1,248 +1,219 @@
 #include "cache/artifact.h"
 
-#include <cstdio>
-#include <map>
-#include <sstream>
+#include <bit>
+#include <cstdint>
+#include <string_view>
+#include <vector>
 
-#include "support/strings.h"
+#include "circuit/flat.h"
 
 namespace qfs::cache {
 
 namespace {
 
-constexpr const char kMagic[] = "qfs-artifact 1";
+constexpr char kMagic[4] = {'Q', 'F', 'S', 'A'};
+/// Bump together with kCacheVersionSalt whenever the layout changes.
+constexpr std::uint32_t kFormatVersion = 2;
+/// Widest register the codec carries. Operands are distinct and in range,
+/// so this also bounds a barrier's operand count, which is what makes the
+/// 16-bit count field exact.
+constexpr std::uint32_t kMaxQubits = 0xFFFF;
+/// Smallest encoded gate (op byte + operand count), used to bound the gate
+/// count by the payload size before anything is allocated.
+constexpr std::size_t kMinGateBytes = 3;
 
-std::string g17(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
-const std::map<std::string, circuit::GateKind>& kind_by_name() {
-  static const std::map<std::string, circuit::GateKind> table = [] {
-    std::map<std::string, circuit::GateKind> t;
-    for (int i = 0; i < circuit::kNumGateKinds; ++i) {
-      auto kind = static_cast<circuit::GateKind>(i);
-      t[circuit::gate_name(kind)] = kind;
+/// Fixed-width little-endian appender.
+class Writer {
+ public:
+  template <typename T>
+  void put(T v) {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
     }
-    return t;
-  }();
-  return table;
-}
+  }
+  void i32(int v) { put(static_cast<std::uint32_t>(v)); }
+  void f64(double v) { put(std::bit_cast<std::uint64_t>(v)); }
+  void bytes(std::string_view s) { out_.append(s); }
+  std::string take() { return std::move(out_); }
 
-void emit_layout(std::ostringstream& os, const char* tag,
-                 const std::vector<int>& layout) {
-  os << tag;
-  for (int p : layout) os << ' ' << p;
-  os << '\n';
-}
+ private:
+  std::string out_;
+};
+
+/// Bounds-checked little-endian cursor: every read reports truncation
+/// instead of running past the end.
+class Reader {
+ public:
+  explicit Reader(std::string_view in) : in_(in) {}
+
+  template <typename T>
+  bool get(T& v) {
+    if (remaining() < sizeof(T)) return false;
+    std::uint64_t x = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      x |= std::uint64_t{static_cast<unsigned char>(in_[pos_ + i])} << (8 * i);
+    }
+    v = static_cast<T>(x);
+    pos_ += sizeof(T);
+    return true;
+  }
+  bool i32(int& v) {
+    std::uint32_t bits = 0;
+    if (!get(bits)) return false;
+    v = static_cast<std::int32_t>(bits);
+    return true;
+  }
+  bool f64(double& v) {
+    std::uint64_t bits = 0;
+    if (!get(bits)) return false;
+    v = std::bit_cast<double>(bits);
+    return true;
+  }
+  bool bytes(std::size_t n, std::string& out) {
+    if (remaining() < n) return false;
+    out.assign(in_.substr(pos_, n));
+    pos_ += n;
+    return true;
+  }
+  std::size_t remaining() const { return in_.size() - pos_; }
+
+ private:
+  std::string_view in_;
+  std::size_t pos_ = 0;
+};
 
 qfs::Status bad(const std::string& what) {
   return qfs::parse_error("artifact: " + what);
 }
 
-qfs::Status parse_int_list(std::string_view text, std::vector<int>& out) {
-  for (const std::string& tok : qfs::split_whitespace(text)) {
-    int v = 0;
-    if (!qfs::parse_int(tok, v)) return bad("bad integer '" + tok + "'");
-    out.push_back(v);
+void write_layout(Writer& w, const std::vector<int>& layout) {
+  w.put(static_cast<std::uint32_t>(layout.size()));
+  for (int p : layout) w.i32(p);
+}
+
+qfs::Status read_layout(Reader& r, std::vector<int>& out) {
+  std::uint32_t n = 0;
+  if (!r.get(n) || r.remaining() / 4 < n) return bad("truncated layout");
+  out.resize(n);
+  for (int& p : out) {
+    if (!r.i32(p)) return bad("truncated layout");
   }
   return qfs::Status::ok();
 }
 
-qfs::Status parse_double_field(std::string_view text, double& out) {
-  if (!qfs::parse_double(text, out)) {
-    return bad("bad number '" + std::string(text) + "'");
-  }
-  return qfs::Status::ok();
-}
-
-/// Validate one gate line's shape before touching circuit::make_gate (which
+/// Decode one gate, checking its shape before circuit::make_gate (which
 /// asserts on contract violations — a cache read must never abort).
-qfs::Status checked_add(circuit::Circuit& c, circuit::GateKind kind,
-                        std::vector<int> qubits, std::vector<double> params) {
-  int arity = circuit::gate_arity(kind);
-  if (arity != 0 && static_cast<int>(qubits.size()) != arity) {
+/// `seen[q] == stamp` marks operands already used by this gate.
+qfs::Status read_gate(Reader& r, circuit::Circuit& c,
+                      std::vector<std::uint32_t>& seen, std::uint32_t stamp) {
+  std::uint8_t op = 0;
+  std::uint16_t count = 0;
+  if (!r.get(op) || !r.get(count)) return bad("truncated gate");
+  if (op >= circuit::kNumOps) return bad("unknown op byte");
+  const circuit::GateKind kind = circuit::to_gate_kind(circuit::Op{op});
+  const int arity = circuit::gate_arity(kind);
+  if (arity != 0 ? count != arity : count == 0) {
     return bad("wrong operand count");
   }
-  if (kind == circuit::GateKind::kBarrier && qubits.empty()) {
-    return bad("empty barrier");
-  }
-  if (static_cast<int>(params.size()) != circuit::gate_param_count(kind)) {
-    return bad("wrong parameter count");
-  }
-  for (std::size_t i = 0; i < qubits.size(); ++i) {
-    if (qubits[i] < 0 || qubits[i] >= c.num_qubits()) {
-      return bad("qubit operand out of range");
+  std::vector<int> qubits(count);
+  for (int& q : qubits) {
+    if (!r.i32(q)) return bad("truncated gate operands");
+    if (q < 0 || q >= c.num_qubits()) return bad("qubit operand out of range");
+    if (seen[static_cast<std::size_t>(q)] == stamp) {
+      return bad("repeated qubit operand");
     }
-    for (std::size_t j = i + 1; j < qubits.size(); ++j) {
-      if (qubits[i] == qubits[j]) return bad("repeated qubit operand");
-    }
+    seen[static_cast<std::size_t>(q)] = stamp;
   }
-  c.add(circuit::make_gate(kind, std::move(qubits), std::move(params)));
+  std::vector<double> params(
+      static_cast<std::size_t>(circuit::gate_param_count(kind)));
+  for (double& p : params) {
+    if (!r.f64(p)) return bad("truncated gate parameters");
+  }
+  c.add(circuit::Gate{kind, std::move(qubits), std::move(params)});
   return qfs::Status::ok();
 }
 
 }  // namespace
 
 std::string serialize_mapping_result(const mapper::MappingResult& result) {
-  std::ostringstream os;
-  os << kMagic << '\n';
-  os << "qubits " << result.mapped.num_qubits() << '\n';
-  os << "name " << result.mapped.name() << '\n';
-  os << "gates " << result.mapped.gates().size() << '\n';
+  Writer w;
+  w.bytes(std::string_view(kMagic, sizeof kMagic));
+  w.put(kFormatVersion);
+  w.put(static_cast<std::uint32_t>(result.mapped.num_qubits()));
+  w.put(static_cast<std::uint32_t>(result.mapped.name().size()));
+  w.bytes(result.mapped.name());
+  w.put(static_cast<std::uint32_t>(result.mapped.gates().size()));
   for (const auto& g : result.mapped.gates()) {
-    os << "g " << circuit::gate_name(g.kind);
-    for (int q : g.qubits) os << ' ' << q;
-    if (!g.params.empty()) {
-      os << " ;";
-      for (double p : g.params) os << ' ' << g17(p);
-    }
-    os << '\n';
+    w.put(static_cast<std::uint8_t>(circuit::to_op(g.kind)));
+    w.put(static_cast<std::uint16_t>(g.qubits.size()));
+    for (int q : g.qubits) w.i32(q);
+    for (double p : g.params) w.f64(p);
   }
-  emit_layout(os, "initial-layout", result.initial_layout);
-  emit_layout(os, "final-layout", result.final_layout);
-  os << "swaps " << result.swaps_inserted << '\n';
-  os << "gates-before " << result.gates_before << '\n';
-  os << "gates-after " << result.gates_after << '\n';
-  os << "gate-overhead-pct " << g17(result.gate_overhead_pct) << '\n';
-  os << "depth-before " << result.depth_before << '\n';
-  os << "depth-after " << result.depth_after << '\n';
-  os << "depth-overhead-pct " << g17(result.depth_overhead_pct) << '\n';
-  os << "fidelity-before " << g17(result.fidelity_before) << '\n';
-  os << "fidelity-after " << g17(result.fidelity_after) << '\n';
-  os << "log-fidelity-before " << g17(result.log_fidelity_before) << '\n';
-  os << "log-fidelity-after " << g17(result.log_fidelity_after) << '\n';
-  os << "fidelity-decrease-pct " << g17(result.fidelity_decrease_pct) << '\n';
-  os << "latency-before-ns " << g17(result.latency_before_ns) << '\n';
-  os << "latency-after-ns " << g17(result.latency_after_ns) << '\n';
-  os << "latency-overhead-pct " << g17(result.latency_overhead_pct) << '\n';
-  return os.str();
+  write_layout(w, result.initial_layout);
+  write_layout(w, result.final_layout);
+  w.i32(result.swaps_inserted);
+  w.i32(result.gates_before);
+  w.i32(result.gates_after);
+  w.f64(result.gate_overhead_pct);
+  w.i32(result.depth_before);
+  w.i32(result.depth_after);
+  for (double v : {result.depth_overhead_pct, result.fidelity_before,
+                   result.fidelity_after, result.log_fidelity_before,
+                   result.log_fidelity_after, result.fidelity_decrease_pct,
+                   result.latency_before_ns, result.latency_after_ns,
+                   result.latency_overhead_pct}) {
+    w.f64(v);
+  }
+  return w.take();
 }
 
 qfs::StatusOr<mapper::MappingResult> deserialize_mapping_result(
     const std::string& payload) {
-  std::istringstream in(payload);
-  std::string line;
-  if (!std::getline(in, line) || line != kMagic) return bad("bad magic");
-
-  auto next_field = [&in, &line](std::string_view tag,
-                                 std::string_view& value) -> qfs::Status {
-    if (!std::getline(in, line)) return bad("truncated payload");
-    std::string prefix = std::string(tag) + " ";
-    if (line == std::string(tag)) {  // empty value (e.g. unnamed circuit)
-      value = std::string_view();
-      return qfs::Status::ok();
-    }
-    if (!qfs::starts_with(line, prefix)) {
-      return bad("expected '" + std::string(tag) + "', got '" + line + "'");
-    }
-    value = std::string_view(line).substr(prefix.size());
-    return qfs::Status::ok();
-  };
-
-  std::string_view value;
-  if (auto s = next_field("qubits", value); !s.is_ok()) return s;
-  int num_qubits = 0;
-  if (!qfs::parse_int(value, num_qubits) || num_qubits < 0 ||
-      num_qubits > 1 << 20) {
+  Reader r(payload);
+  std::string magic;
+  std::uint32_t version = 0;
+  if (!r.bytes(sizeof kMagic, magic) ||
+      magic != std::string_view(kMagic, sizeof kMagic) || !r.get(version) ||
+      version != kFormatVersion) {
+    return bad("bad magic");
+  }
+  std::uint32_t num_qubits = 0;
+  if (!r.get(num_qubits) || num_qubits > kMaxQubits) {
     return bad("bad qubit count");
   }
-  if (auto s = next_field("name", value); !s.is_ok()) return s;
-  std::string name(value);
-  if (auto s = next_field("gates", value); !s.is_ok()) return s;
-  int num_gates = 0;
-  if (!qfs::parse_int(value, num_gates) || num_gates < 0) {
+  std::uint32_t name_size = 0;
+  std::string name;
+  if (!r.get(name_size) || !r.bytes(name_size, name)) return bad("bad name");
+  std::uint32_t num_gates = 0;
+  if (!r.get(num_gates) || r.remaining() / kMinGateBytes < num_gates) {
     return bad("bad gate count");
   }
 
   mapper::MappingResult result;
-  result.mapped = circuit::Circuit(num_qubits, std::move(name));
-  for (int i = 0; i < num_gates; ++i) {
-    if (!std::getline(in, line)) return bad("truncated gate list");
-    if (!qfs::starts_with(line, "g ")) return bad("bad gate line");
-    std::string_view rest = std::string_view(line).substr(2);
-    auto semi = rest.find(';');
-    std::string_view qubit_part = rest.substr(0, semi);
-    std::vector<std::string> toks = qfs::split_whitespace(qubit_part);
-    if (toks.empty()) return bad("gate line without a kind");
-    auto kind_it = kind_by_name().find(toks[0]);
-    if (kind_it == kind_by_name().end()) {
-      return bad("unknown gate kind '" + toks[0] + "'");
-    }
-    std::vector<int> qubits;
-    for (std::size_t t = 1; t < toks.size(); ++t) {
-      int q = 0;
-      if (!qfs::parse_int(toks[t], q)) return bad("bad qubit operand");
-      qubits.push_back(q);
-    }
-    std::vector<double> params;
-    if (semi != std::string_view::npos) {
-      for (const std::string& tok :
-           qfs::split_whitespace(rest.substr(semi + 1))) {
-        double p = 0.0;
-        if (!qfs::parse_double(tok, p)) return bad("bad gate parameter");
-        params.push_back(p);
-      }
-    }
-    if (auto s = checked_add(result.mapped, kind_it->second, std::move(qubits),
-                             std::move(params));
-        !s.is_ok()) {
+  result.mapped =
+      circuit::Circuit(static_cast<int>(num_qubits), std::move(name));
+  std::vector<std::uint32_t> seen(num_qubits, 0);
+  for (std::uint32_t i = 0; i < num_gates; ++i) {
+    if (auto s = read_gate(r, result.mapped, seen, i + 1); !s.is_ok()) {
       return s;
     }
   }
+  if (auto s = read_layout(r, result.initial_layout); !s.is_ok()) return s;
+  if (auto s = read_layout(r, result.final_layout); !s.is_ok()) return s;
 
-  if (auto s = next_field("initial-layout", value); !s.is_ok()) return s;
-  if (auto s = parse_int_list(value, result.initial_layout); !s.is_ok()) {
-    return s;
+  bool ok = r.i32(result.swaps_inserted) && r.i32(result.gates_before) &&
+            r.i32(result.gates_after) && r.f64(result.gate_overhead_pct) &&
+            r.i32(result.depth_before) && r.i32(result.depth_after);
+  for (double* slot :
+       {&result.depth_overhead_pct, &result.fidelity_before,
+        &result.fidelity_after, &result.log_fidelity_before,
+        &result.log_fidelity_after, &result.fidelity_decrease_pct,
+        &result.latency_before_ns, &result.latency_after_ns,
+        &result.latency_overhead_pct}) {
+    ok = ok && r.f64(*slot);
   }
-  if (auto s = next_field("final-layout", value); !s.is_ok()) return s;
-  if (auto s = parse_int_list(value, result.final_layout); !s.is_ok()) return s;
-
-  struct IntField {
-    const char* tag;
-    int* slot;
-  };
-  struct DoubleField {
-    const char* tag;
-    double* slot;
-  };
-  const IntField int_fields[] = {
-      {"swaps", &result.swaps_inserted},
-      {"gates-before", &result.gates_before},
-      {"gates-after", &result.gates_after},
-  };
-  for (const auto& f : int_fields) {
-    if (auto s = next_field(f.tag, value); !s.is_ok()) return s;
-    if (!qfs::parse_int(value, *f.slot)) return bad("bad integer field");
-  }
-  if (auto s = next_field("gate-overhead-pct", value); !s.is_ok()) return s;
-  if (auto s = parse_double_field(value, result.gate_overhead_pct); !s.is_ok()) {
-    return s;
-  }
-  const IntField depth_fields[] = {
-      {"depth-before", &result.depth_before},
-      {"depth-after", &result.depth_after},
-  };
-  for (const auto& f : depth_fields) {
-    if (auto s = next_field(f.tag, value); !s.is_ok()) return s;
-    if (!qfs::parse_int(value, *f.slot)) return bad("bad integer field");
-  }
-  const DoubleField double_fields[] = {
-      {"depth-overhead-pct", &result.depth_overhead_pct},
-      {"fidelity-before", &result.fidelity_before},
-      {"fidelity-after", &result.fidelity_after},
-      {"log-fidelity-before", &result.log_fidelity_before},
-      {"log-fidelity-after", &result.log_fidelity_after},
-      {"fidelity-decrease-pct", &result.fidelity_decrease_pct},
-      {"latency-before-ns", &result.latency_before_ns},
-      {"latency-after-ns", &result.latency_after_ns},
-      {"latency-overhead-pct", &result.latency_overhead_pct},
-  };
-  for (const auto& f : double_fields) {
-    if (auto s = next_field(f.tag, value); !s.is_ok()) return s;
-    if (auto s = parse_double_field(value, *f.slot); !s.is_ok()) return s;
-  }
+  if (!ok) return bad("truncated metrics");
+  if (r.remaining() != 0) return bad("trailing bytes");
   return result;
 }
 

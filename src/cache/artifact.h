@@ -1,10 +1,14 @@
 // Compilation-artifact serialization: MappingResult <-> cache payload.
 //
-// A text format with exact (%.17g) doubles, so a warm-cache compile
-// reproduces the cold run byte for byte — metrics, layouts and the mapped
-// circuit included. Deserialization never asserts on malformed bytes:
-// every structural violation comes back as a parse_error Status, which
-// callers treat as a cache miss (recompute and overwrite).
+// A length-prefixed binary format of fixed-width little-endian fields
+// (layout in DESIGN.md §10). Gates are stored as circuit::Op bytes with
+// int32 operands and parameters as exact IEEE-754 bits, so a warm-cache
+// compile reproduces the cold run byte for byte — metrics, layouts and the
+// mapped circuit included — and decoding never reparses text.
+// Deserialization never asserts on malformed bytes: every structural
+// violation (truncation, unknown op, wrong arity, bad operand, trailing
+// bytes) comes back as a parse_error Status, which callers treat as a
+// cache miss (recompute and overwrite).
 #pragma once
 
 #include <optional>

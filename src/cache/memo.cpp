@@ -1,6 +1,5 @@
 #include "cache/memo.h"
 
-#include "analysis/equiv.h"
 #include "cache/artifact.h"
 
 namespace qfs::cache {
@@ -13,34 +12,11 @@ Fingerprint attempt_fingerprint(const Fingerprint& base,
 }
 
 mapper::AttemptMemo make_attempt_memo(CompileCache& cache, Fingerprint base) {
-  return make_attempt_memo(cache, base, MemoValidation{});
-}
-
-mapper::AttemptMemo make_attempt_memo(CompileCache& cache, Fingerprint base,
-                                      MemoValidation validation) {
   mapper::AttemptMemo memo;
-  memo.lookup = [&cache, base, validation](const std::string& attempt_key,
-                                           mapper::MappingResult* out) {
+  memo.lookup = [&cache, base](const std::string& attempt_key,
+                               mapper::MappingResult* out) {
     auto hit = load_mapping(cache, attempt_fingerprint(base, attempt_key));
     if (!hit) return false;
-    if (validation.source != nullptr && validation.device != nullptr) {
-      analysis::TranslationArtifact artifact;
-      artifact.mapped = &hit->mapped;
-      artifact.initial_layout = hit->initial_layout;
-      artifact.final_layout = hit->final_layout;
-      artifact.swaps_inserted = hit->swaps_inserted;
-      analysis::EquivOptions options;
-      options.max_diagnostics = 1;
-      if (!analysis::translation_is_valid(*validation.source,
-                                          *validation.device, artifact,
-                                          options)) {
-        // Semantically corrupt payload: valid serialization, wrong circuit.
-        // Count it with the store-level corruption stats and degrade to a
-        // miss; the fresh compile overwrites the bad entry on store.
-        cache.count_corrupt_payload();
-        return false;
-      }
-    }
     *out = std::move(*hit);
     return true;
   };
@@ -48,6 +24,8 @@ mapper::AttemptMemo make_attempt_memo(CompileCache& cache, Fingerprint base,
                               const mapper::MappingResult& result) {
     store_mapping(cache, attempt_fingerprint(base, attempt_key), result);
   };
+  // Semantically corrupt payload: valid serialization, wrong circuit.
+  memo.reject = [&cache](const std::string&) { cache.count_corrupt_payload(); };
   return memo;
 }
 

@@ -6,17 +6,16 @@
 // circuit, the device and the pipeline configuration, so two different
 // inputs can never share an attempt entry.
 //
-// When given the source circuit and device, the adapter also revalidates
-// every hit with the translation validator (analysis/equiv.h): a payload
-// that deserializes cleanly but no longer computes the source circuit — a
-// bit-flipped gate, a stale layout — is counted as corrupt, reported as a
-// miss, and recompiled fresh instead of escaping to a caller.
+// The adapter does not validate hits itself: compile_resilient proves every
+// memoized artifact once with its per-attempt validation (translation
+// validator included) and calls `reject` on one that fails — a payload that
+// deserializes cleanly but no longer computes the source circuit. The
+// adapter counts that as a corrupt payload; the rung recompiles fresh and
+// the store overwrites the bad entry.
 #pragma once
 
 #include "cache/cache.h"
 #include "cache/fingerprint.h"
-#include "circuit/circuit.h"
-#include "device/device.h"
 #include "mapper/pipeline.h"
 
 namespace qfs::cache {
@@ -26,19 +25,6 @@ namespace qfs::cache {
 /// `cache`; it must not outlive it. `base` should come from
 /// compile_fingerprint over the resilient options' base configuration.
 mapper::AttemptMemo make_attempt_memo(CompileCache& cache, Fingerprint base);
-
-/// Borrowed validation context for hit revalidation.
-struct MemoValidation {
-  const circuit::Circuit* source = nullptr;
-  const device::Device* device = nullptr;
-};
-
-/// As above, but every hit is first checked by the translation validator
-/// against `validation` (both pointers must outlive the memo). A hit whose
-/// artifact fails validation increments the cache's corrupt counter and is
-/// returned as a miss, so compile_resilient recompiles and re-stores it.
-mapper::AttemptMemo make_attempt_memo(CompileCache& cache, Fingerprint base,
-                                      MemoValidation validation);
 
 /// The cache key of one attempt: base fingerprint x attempt triple.
 Fingerprint attempt_fingerprint(const Fingerprint& base,

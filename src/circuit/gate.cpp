@@ -1,6 +1,5 @@
 #include "circuit/gate.h"
 
-#include <set>
 #include <sstream>
 
 #include "support/strings.h"
@@ -118,9 +117,14 @@ Gate make_gate(GateKind kind, std::vector<int> qubits,
   }
   QFS_ASSERT_MSG(static_cast<int>(params.size()) == gate_param_count(kind),
                  std::string("wrong parameter count for ") + gate_name(kind));
-  std::set<int> distinct(qubits.begin(), qubits.end());
-  QFS_ASSERT_MSG(distinct.size() == qubits.size(),
-                 "repeated qubit operand in gate");
+  // Pairwise: every fixed-arity kind has at most three operands.
+  bool repeated = false;
+  for (std::size_t i = 0; i < qubits.size(); ++i) {
+    for (std::size_t j = i + 1; j < qubits.size(); ++j) {
+      repeated = repeated || qubits[i] == qubits[j];
+    }
+  }
+  QFS_ASSERT_MSG(!repeated, "repeated qubit operand in gate");
   for (int q : qubits) QFS_ASSERT_MSG(q >= 0, "negative qubit index");
   return Gate{kind, std::move(qubits), std::move(params)};
 }

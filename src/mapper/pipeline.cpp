@@ -4,7 +4,6 @@
 #include <iterator>
 #include <sstream>
 
-#include "analysis/equiv.h"
 #include "compiler/decompose.h"
 #include "device/fidelity.h"
 #include "sim/equivalence.h"
@@ -155,19 +154,9 @@ qfs::Status validate_attempt(const Circuit& original,
   // gate-set checks: the validator proves every physical gate is native, on
   // a live coupler, and realizes exactly one source gate under the tracked
   // permutation (QFS101-QFS110).
-  analysis::TranslationArtifact artifact;
-  artifact.mapped = &result.mapped;
-  artifact.initial_layout = result.initial_layout;
-  artifact.final_layout = result.final_layout;
-  artifact.swaps_inserted = result.swaps_inserted;
-  analysis::EquivOptions equiv;
-  equiv.max_diagnostics = 1;  // the first finding decides the attempt
-  std::vector<analysis::Diagnostic> findings =
-      analysis::validate_translation(original, device, artifact, equiv);
-  if (!findings.empty()) {
-    return qfs::failed_precondition("translation validation failed: " +
-                                    analysis::diagnostic_to_string(
-                                        findings.front()));
+  if (qfs::Status proof = check_translation(original, result, device);
+      !proof.is_ok()) {
+    return proof;
   }
   if (!std::isfinite(result.log_fidelity_after) ||
       result.log_fidelity_after > 1e-9 ||
@@ -188,6 +177,30 @@ qfs::Status validate_attempt(const Circuit& original,
 }
 
 }  // namespace
+
+analysis::TranslationArtifact translation_artifact(const MappingResult& result) {
+  analysis::TranslationArtifact artifact;
+  artifact.mapped = &result.mapped;
+  artifact.initial_layout = result.initial_layout;
+  artifact.final_layout = result.final_layout;
+  artifact.swaps_inserted = result.swaps_inserted;
+  return artifact;
+}
+
+qfs::Status check_translation(const Circuit& circuit,
+                              const MappingResult& result,
+                              const Device& device) {
+  analysis::EquivOptions equiv;
+  equiv.max_diagnostics = 1;  // the first finding decides
+  std::vector<analysis::Diagnostic> findings = analysis::validate_translation(
+      circuit, device, translation_artifact(result), equiv);
+  if (!findings.empty()) {
+    return qfs::failed_precondition(
+        "translation validation failed: " +
+        analysis::diagnostic_to_string(findings.front()));
+  }
+  return qfs::Status::ok();
+}
 
 std::string attempt_log_to_string(const CompileAttemptLog& log) {
   std::ostringstream os;
@@ -261,8 +274,12 @@ qfs::StatusOr<ResilientResult> compile_resilient(const Circuit& circuit,
                       options.memo->lookup(attempt_key, &result);
       if (memoized) {
         entry.status = validate_attempt(circuit, result, device, options, seed);
+        if (!entry.status.is_ok()) {
+          memoized = false;
+          if (options.memo->reject) options.memo->reject(attempt_key);
+        }
       }
-      if (!memoized || !entry.status.is_ok()) {
+      if (!memoized) {
         // Fresh compile: also the fallback when a memoized artifact fails
         // validation (a corrupt or stale entry must degrade, not escape).
         qfs::Rng rng(seed);
@@ -283,6 +300,7 @@ qfs::StatusOr<ResilientResult> compile_resilient(const Circuit& circuit,
         out.options_used = std::move(opts);
         out.seed_used = seed;
         out.log = log;
+        out.from_memo = memoized;
         if (log_out) *log_out = std::move(log);
         return out;
       }

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/equiv.h"
 #include "circuit/circuit.h"
 #include "compiler/schedule.h"
 #include "device/device.h"
@@ -94,14 +95,17 @@ MappingResult map_circuit(const circuit::Circuit& circuit,
 /// attempt key is the rung's "placer|router|seed" triple; the installer is
 /// expected to fold it into its own circuit/device/pipeline fingerprint.
 /// `lookup` returns true and fills `out` on a hit; a hit still passes the
-/// normal per-attempt validation, so a stale or damaged artifact degrades
-/// to a fresh compile instead of escaping. `store` receives only results
-/// that passed validation.
+/// normal per-attempt validation — the only check it gets — so a stale or
+/// damaged artifact degrades to a fresh compile instead of escaping.
+/// `reject` (optional) is told about a hit that failed that validation,
+/// before the rung recompiles. `store` receives only results that passed
+/// validation.
 struct AttemptMemo {
   std::function<bool(const std::string& attempt_key, MappingResult* out)>
       lookup;
   std::function<void(const std::string& attempt_key, const MappingResult&)>
       store;
+  std::function<void(const std::string& attempt_key)> reject;
 };
 
 struct ResilientOptions {
@@ -144,7 +148,22 @@ struct ResilientResult {
   MappingOptions options_used;
   std::uint64_t seed_used = 0;
   CompileAttemptLog log;
+  /// True when `mapping` is a memoized artifact that passed validation; a
+  /// rejected hit that was recompiled reports false.
+  bool from_memo = false;
 };
+
+/// The translation validator's borrowed view of `result` (analysis/equiv.h).
+analysis::TranslationArtifact translation_artifact(const MappingResult& result);
+
+/// Prove `result` is a faithful translation of `circuit` on `device` with
+/// the translation validator, stopping at the first finding. Resilient
+/// attempts, memoized or fresh, pass this once inside compile_resilient's
+/// per-attempt validation, and the service's direct-pipeline cache hits
+/// pass it once before they are served.
+qfs::Status check_translation(const circuit::Circuit& circuit,
+                              const MappingResult& result,
+                              const device::Device& device);
 
 /// Compile `circuit` for `device`, retrying across a fallback ladder of
 /// (placer, router, seed) combinations until an attempt passes validation:

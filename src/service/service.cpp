@@ -324,8 +324,15 @@ CompileResponse execute_impl(const ServiceConfig& config,
       key = cache::compile_fingerprint(qasm::to_qasm(*circuit), dev, options,
                                        request.seed);
       if (auto hit = cache::load_mapping(*cache, key)) {
-        response.mapping = std::move(*hit);
-        response.cache_hit = true;
+        // The resilient pipeline's trust policy: a hit is proved once
+        // before it is served; one that fails is counted corrupt and
+        // recompiled, and the store overwrites it.
+        if (mapper::check_translation(*circuit, *hit, dev).is_ok()) {
+          response.mapping = std::move(*hit);
+          response.cache_hit = true;
+        } else {
+          cache->count_corrupt_payload();
+        }
       }
     }
     if (!response.cache_hit) {
@@ -344,29 +351,14 @@ CompileResponse execute_impl(const ServiceConfig& config,
     resilient.base = options;
     resilient.max_attempts = request.max_attempts;
     resilient.seed = request.seed;
-    // Per-request hit accounting: wrap the memo lookup rather than diffing
-    // the cache's global counters, which other in-flight requests mutate
-    // concurrently.
+    // compile_resilient proves every memo hit with its per-attempt
+    // validation; a semantically corrupted artifact is rejected (counted
+    // corrupt by the memo) and the rung recompiles fresh.
     mapper::AttemptMemo memo;
-    bool memo_hit = false;
     if (cache != nullptr) {
-      cache::Fingerprint base = cache::compile_fingerprint(
-          qasm::to_qasm(*circuit), dev, options, request.seed);
-      // Hits are revalidated against the source circuit: a semantically
-      // corrupted artifact counts as a corrupt payload + miss and the rung
-      // recompiles fresh.
-      cache::MemoValidation validation;
-      validation.source = circuit;
-      validation.device = &dev;
-      mapper::AttemptMemo inner =
-          cache::make_attempt_memo(*cache, base, validation);
-      memo.lookup = [&memo_hit, lookup = std::move(inner.lookup)](
-                        const std::string& key, mapper::MappingResult* out) {
-        bool hit = lookup(key, out);
-        memo_hit = memo_hit || hit;
-        return hit;
-      };
-      memo.store = std::move(inner.store);
+      memo = cache::make_attempt_memo(
+          *cache, cache::compile_fingerprint(qasm::to_qasm(*circuit), dev,
+                                             options, request.seed));
       resilient.memo = &memo;
     }
     mapper::CompileAttemptLog attempt_log;
@@ -386,7 +378,9 @@ CompileResponse execute_impl(const ServiceConfig& config,
     response.placer_used = result.options_used.placer;
     response.router_used = result.options_used.router;
     response.seed_used = result.seed_used;
-    response.cache_hit = memo_hit;
+    // Per-request hit accounting from the result itself, not from the
+    // cache's global counters, which other in-flight requests mutate.
+    response.cache_hit = result.from_memo;
   } else {
     return fail(std::move(response), ErrorCode::kInvalidRequest,
                 "unknown pipeline '" + request.pipeline +
@@ -422,13 +416,13 @@ CompileResponse execute_impl(const ServiceConfig& config,
   // Independent proof that what we are about to hand out still computes the
   // request's circuit: the permutation-tracking translation validator over
   // the mapping (and the emitted timed program, when there is one). A
-  // failure here is by definition a compiler bug, not a bad request.
-  if (request.verify_artifact) {
-    analysis::TranslationArtifact artifact;
-    artifact.mapped = &response.mapping.mapped;
-    artifact.initial_layout = response.mapping.initial_layout;
-    artifact.final_layout = response.mapping.final_layout;
-    artifact.swaps_inserted = response.mapping.swaps_inserted;
+  // failure here is by definition a compiler bug, not a bad request. A
+  // mapping the pipeline already proved (every resilient result, every
+  // direct cache hit) is re-proved only to cover the timed program.
+  const bool proven = request.pipeline == "resilient" || response.cache_hit;
+  if (request.verify_artifact && (!proven || have_timed)) {
+    analysis::TranslationArtifact artifact =
+        mapper::translation_artifact(response.mapping);
     if (have_timed) artifact.timed = &timed;
     std::vector<analysis::Diagnostic> findings =
         analysis::validate_translation(*circuit, dev, artifact);

@@ -13,6 +13,7 @@
 #include "cache/artifact.h"
 #include "cache/fingerprint.h"
 #include "cache/memo.h"
+#include "circuit/circuit.h"
 #include "common.h"
 #include "device/device.h"
 #include "gtest/gtest.h"
@@ -175,18 +176,102 @@ TEST(ArtifactTest, MappingResultRoundTripsExactly) {
   }
 }
 
+// A hand-built artifact with known byte offsets: header (magic, version,
+// qubits, name length) is 16 bytes, then the name "x", then the gate count,
+// so gate 0 (cx 0,1) starts at byte 21 and gate 1 (rz(0.5) 2) at byte 32.
+constexpr std::size_t kGate0 = 21;
+constexpr std::size_t kGate1 = 32;
+
+std::string tiny_artifact() {
+  mapper::MappingResult result;
+  result.mapped = circuit::Circuit(3, "x");
+  result.mapped.add(circuit::GateKind::kCx, {0, 1});
+  result.mapped.add(circuit::GateKind::kRz, {2}, {0.5});
+  result.initial_layout = {0, 1, 2};
+  result.final_layout = {0, 1, 2};
+  return serialize_mapping_result(result);
+}
+
 TEST(ArtifactTest, MalformedPayloadsAreErrorsNotCrashes) {
-  const char* bad[] = {
-      "",
-      "not-an-artifact",
-      "qfs-artifact 999\n",
-      "qfs-artifact 1\nqubits notanumber\n",
-      "qfs-artifact 1\nqubits 3\nname x\ngates 1\ng cx 0 99 ;\n",
-      "qfs-artifact 1\nqubits 2\nname x\ngates 1\ng nosuchgate 0 1 ;\n",
+  const std::string good = tiny_artifact();
+  // The offsets the cases below patch.
+  ASSERT_TRUE(deserialize_mapping_result(good).is_ok());
+  ASSERT_EQ(good.substr(0, 4), "QFSA");
+  ASSERT_EQ(good[kGate0], static_cast<char>(circuit::GateKind::kCx));
+  ASSERT_EQ(good[kGate0 + 1], 2);  // operand count, little-endian
+  ASSERT_EQ(good[kGate1], static_cast<char>(circuit::GateKind::kRz));
+  auto patched = [&good](std::size_t at, char byte) {
+    std::string p = good;
+    p[at] = byte;
+    return p;
   };
-  for (const char* payload : bad) {
+  const std::pair<const char*, std::string> bad[] = {
+      {"empty", ""},
+      {"text", "not-an-artifact"},
+      {"old text format", "qfs-artifact 1\nqubits 3\nname x\ngates 0\n"},
+      {"unknown version", patched(4, 99)},
+      {"truncated header", good.substr(0, 10)},
+      {"truncated tail", good.substr(0, good.size() - 1)},
+      {"trailing bytes", good + std::string(1, '\0')},
+      {"gate count beyond payload", patched(kGate0 - 1, '\x7f')},
+      {"unknown op byte", patched(kGate0, '\xc8')},
+      {"wrong arity", patched(kGate0 + 1, 3)},
+      {"operand out of range", patched(kGate0 + 7, 99)},
+      {"negative operand", patched(kGate0 + 6, '\x80')},
+      {"repeated operand", patched(kGate0 + 7, 0)},
+      {"parameter count of another kind",
+       patched(kGate1, static_cast<char>(circuit::GateKind::kU3))},
+  };
+  for (const auto& [what, payload] : bad) {
     auto decoded = deserialize_mapping_result(payload);
-    EXPECT_FALSE(decoded.is_ok()) << "payload: " << payload;
+    ASSERT_FALSE(decoded.is_ok()) << what;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kParseError) << what;
+  }
+}
+
+TEST(ArtifactTest, EveryTruncationAndByteFlipDecodesOrIsAParseError) {
+  // A real artifact: a routed suite circuit with SWAPs, parameters and
+  // latency metrics. Every damaged variant must either decode — and then
+  // re-serialize to exactly the damaged bytes, since the format admits one
+  // encoding per value — or come back as parse_error. Never an assert or
+  // an out-of-bounds read (this test also runs under ASan/UBSan).
+  device::Device dev = device::surface17_device();
+  Rng rng(11);
+  workloads::SuiteOptions suite_opts;
+  suite_opts.random_count = 1;
+  suite_opts.real_count = 0;
+  suite_opts.reversible_count = 0;
+  suite_opts.max_qubits = 9;
+  suite_opts.max_gates = 40;
+  auto suite = workloads::make_suite(suite_opts, rng);
+  ASSERT_EQ(suite.size(), 1u);
+  mapper::MappingOptions options;
+  options.compute_latency = true;
+  Rng map_rng(7);
+  const std::string good = serialize_mapping_result(
+      mapper::map_circuit(suite[0].circuit, dev, options, map_rng));
+
+  auto check = [](const std::string& payload, const std::string& what) {
+    auto decoded = deserialize_mapping_result(payload);
+    if (decoded.is_ok()) {
+      EXPECT_EQ(serialize_mapping_result(decoded.value()), payload) << what;
+    } else {
+      EXPECT_EQ(decoded.status().code(), StatusCode::kParseError) << what;
+    }
+  };
+  for (std::size_t n = 0; n < good.size(); ++n) {
+    auto decoded = deserialize_mapping_result(good.substr(0, n));
+    ASSERT_FALSE(decoded.is_ok()) << "prefix of " << n << " bytes decoded";
+    EXPECT_EQ(decoded.status().code(), StatusCode::kParseError) << n;
+  }
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    for (unsigned char mask : {0x01, 0x80, 0xff}) {
+      std::string flipped = good;
+      flipped[i] = static_cast<char>(static_cast<unsigned char>(flipped[i]) ^
+                                     mask);
+      check(flipped, "byte " + std::to_string(i) + " ^ " +
+                         std::to_string(mask));
+    }
   }
 }
 
@@ -437,8 +522,9 @@ TEST(AttemptMemoTest, CorruptMemoEntryFallsBackToFreshCompile) {
 
 TEST(AttemptMemoTest, SemanticallyCorruptEntryIsARevalidatedMiss) {
   // The nastier corruption class: the payload deserializes cleanly but no
-  // longer computes the source circuit. Only hit revalidation through the
-  // translation validator (memo.h + analysis/equiv.h) can catch it.
+  // longer computes the source circuit. Only compile_resilient's validation
+  // of the hit (the translation validator, analysis/equiv.h) can catch it;
+  // the memo's reject hook records it as corrupt.
   device::Device dev = device::surface17_device();
   Rng rng(5);
   workloads::SuiteOptions suite_opts;
@@ -456,10 +542,7 @@ TEST(AttemptMemoTest, SemanticallyCorruptEntryIsARevalidatedMiss) {
   resilient.base.compute_latency = true;
   Fingerprint base = compile_fingerprint(qasm::to_qasm(b.circuit), dev,
                                          resilient.base, resilient.seed);
-  MemoValidation validation;
-  validation.source = &b.circuit;
-  validation.device = &dev;
-  mapper::AttemptMemo memo = make_attempt_memo(cache, base, validation);
+  mapper::AttemptMemo memo = make_attempt_memo(cache, base);
   resilient.memo = &memo;
 
   auto first = mapper::compile_resilient(b.circuit, dev, resilient);

@@ -180,6 +180,33 @@ TEST(ExpandSwaps, RewritesOnlySwaps) {
   for (const auto& g : expanded.gates()) EXPECT_NE(g.kind, GateKind::kSwap);
 }
 
+TEST(ExpandSwaps, LoweredTemplateOnlySubstitutesOperands) {
+  // The translation validator recognizes router SWAPs by relabeling one
+  // lowered swap(0, 1) template; that is sound only while lowering never
+  // looks at operand values. Pin it for every gate set in the zoo.
+  const device::GateSet sets[] = {
+      device::surface_code_gateset(), device::ibm_gateset(),
+      device::sycamore_gateset(),     device::ion_trap_gateset(),
+      device::rydberg_gateset(),      device::universal_gateset()};
+  auto lowered_swap = [](int n, int a, int b, const device::GateSet& set) {
+    Circuit c(n);
+    c.swap(a, b);
+    return decompose_to_gateset(expand_swaps(c), set).gates();
+  };
+  for (const auto& set : sets) {
+    const auto probe = lowered_swap(2, 0, 1, set);
+    for (auto [a, b] : {std::pair{3, 7}, std::pair{7, 3}, std::pair{0, 9}}) {
+      auto got = lowered_swap(10, a, b, set);
+      ASSERT_EQ(got.size(), probe.size()) << set.name();
+      for (std::size_t k = 0; k < probe.size(); ++k) {
+        circuit::Gate expected = probe[k];
+        for (int& q : expected.qubits) q = q == 0 ? a : b;
+        EXPECT_EQ(got[k], expected) << set.name() << " gate " << k;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Optimisation passes
 // ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@
 #include <thread>
 #include <vector>
 
+#include "cache/artifact.h"
 #include "cache/cache.h"
+#include "cache/fingerprint.h"
+#include "cache/memo.h"
 #include "device/device.h"
 #include "qasm/parser.h"
 #include "qasm/writer.h"
@@ -431,6 +434,77 @@ TEST(Service, ResilientPipelineMemoHitsOnRepeat) {
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(warm.cache_hit);
   EXPECT_EQ(warm.mapped_digest, cold.mapped_digest);
+}
+
+// The cache key `service` files `req` under: the whole-result key on the
+// direct pipeline, the first rung's attempt key on the resilient one.
+cache::Fingerprint stored_key(const CompileRequest& req) {
+  auto parsed = qasm::parse(req.qasm);
+  QFS_ASSERT(parsed.is_ok());
+  device::Device dev;
+  std::string error;
+  QFS_ASSERT(CompileService::parse_device(req.device, dev, error));
+  cache::Fingerprint key = cache::compile_fingerprint(
+      qasm::to_qasm(parsed.value()), dev, req.options, req.seed);
+  if (req.pipeline == "direct") return key;
+  return cache::attempt_fingerprint(
+      key, req.options.placer + "|" + req.options.router + "|" +
+               std::to_string(req.seed));
+}
+
+// Overwrite the artifact under `key` with one that still decodes but no
+// longer computes its source: the mapped circuit loses its last gate.
+void corrupt_semantically(cache::CompileCache& cache,
+                          const cache::Fingerprint& key) {
+  auto stored = cache::load_mapping(cache, key);
+  ASSERT_TRUE(stored.has_value());
+  circuit::Circuit truncated(stored->mapped.num_qubits(),
+                             stored->mapped.name());
+  for (std::size_t i = 0; i + 1 < stored->mapped.gates().size(); ++i) {
+    truncated.add(stored->mapped.gates()[i]);
+  }
+  stored->mapped = std::move(truncated);
+  cache::store_mapping(cache, key, *stored);
+}
+
+// Both pipelines serve a cached artifact only after proving it: a hit that
+// fails the proof is counted corrupt, recompiled, reported as a miss, and
+// served with the cold digest; the re-store heals the entry.
+void expect_rejected_hit_is_a_miss(const std::string& pipeline) {
+  cache::CompileCache cache{cache::CacheConfig{}};
+  ServiceConfig config;
+  config.cache = &cache;
+  CompileService service(config);
+
+  CompileRequest req = bell_request();
+  req.pipeline = pipeline;
+  req.verify_artifact = true;
+  CompileResponse cold = service.execute(req);
+  ASSERT_TRUE(cold.ok()) << cold.error_message;
+  corrupt_semantically(cache, stored_key(req));
+  const std::uint64_t corrupt_before = cache.stats().corrupt_entries;
+
+  CompileResponse rejected = service.execute(req);
+  ASSERT_TRUE(rejected.ok()) << rejected.error_message;
+  EXPECT_FALSE(rejected.cache_hit);
+  EXPECT_EQ(rejected.mapped_digest, cold.mapped_digest);
+  EXPECT_EQ(mapping_metrics_json(rejected).to_string(),
+            mapping_metrics_json(cold).to_string());
+  EXPECT_EQ(cache.stats().corrupt_entries, corrupt_before + 1);
+
+  CompileResponse healed = service.execute(req);
+  ASSERT_TRUE(healed.ok()) << healed.error_message;
+  EXPECT_TRUE(healed.cache_hit);
+  EXPECT_EQ(healed.mapped_digest, cold.mapped_digest);
+  EXPECT_EQ(cache.stats().corrupt_entries, corrupt_before + 1);
+}
+
+TEST(Service, ResilientRejectedHitIsReportedAsAMiss) {
+  expect_rejected_hit_is_a_miss("resilient");
+}
+
+TEST(Service, DirectCorruptHitIsRevalidatedAndRecompiled) {
+  expect_rejected_hit_is_a_miss("direct");
 }
 
 TEST(Service, BorrowedCircuitAndDeviceMatchWireRequest) {
